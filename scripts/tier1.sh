@@ -48,7 +48,7 @@ TSAN_OPTIONS="halt_on_error=1" \
           -R 'test_concurrency|test_base|test_scheduler_incremental|test_scheduler_parallel|test_dse_cache|test_dse_pareto|test_robustness'
 
 echo
-echo "== tier-1: robustness + sparse-simulator tests under ASan+UBSan =="
+echo "== tier-1: robustness, simulator and scheduler tests under ASan+UBSan =="
 # The crash-safety paths (checkpoint serialization, watchdog aborts,
 # exception propagation out of pool workers) juggle partially-built
 # state by design; run them with address + undefined-behavior checking
@@ -69,13 +69,19 @@ echo "== tier-1: robustness + sparse-simulator tests under ASan+UBSan =="
 # use-after-free only ASan can see. The generated kernels themselves
 # are compiled by the system compiler without instrumentation; the
 # instrumented host still checks every byte the kernel hands back.
+# test_scheduler_incremental joins as well: incremental region timing
+# indexes flat per-vertex arrays through operand-offset tables, an
+# epoch-stamped queue and a topological-position heap, and rolls probe
+# journals back by hand — an index slip there corrupts timing silently
+# until the oracle notices, but ASan sees it at the first bad access.
 cmake -B build-asan -S . -DDSA_SANITIZE=address,undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$JOBS" --target test_robustness \
-      test_sim_sparse test_sim_compiled test_sim_jit
+      test_sim_sparse test_sim_compiled test_sim_jit \
+      test_scheduler_incremental
 ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure \
-          -R 'test_robustness|test_sim_sparse|test_sim_compiled|test_sim_jit'
+          -R 'test_robustness|test_sim_sparse|test_sim_compiled|test_sim_jit|test_scheduler_incremental'
 
 echo
 echo "tier-1 OK"

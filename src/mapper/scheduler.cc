@@ -91,13 +91,32 @@ void
 SpatialScheduler::buildSlots()
 {
     slots_.clear();
-    // Memoize each region's topological order up front: the DFG never
-    // changes for the scheduler's lifetime, and timing recomputation
-    // walks the order on every dirty region (it was ~5% of a DSE run
-    // recomputed per call).
+    // Memoize each region's topological order (and each vertex's
+    // position in it) up front: the DFG never changes for the
+    // scheduler's lifetime, and timing propagation orders its queue
+    // by that position.
     topo_.resize(prog_.regions.size());
-    for (size_t r = 0; r < prog_.regions.size(); ++r)
-        topo_[r] = prog_.regions[r].dfg.topoOrder();
+    topoPos_.resize(prog_.regions.size());
+    opBase_.resize(prog_.regions.size());
+    accLat_.assign(prog_.regions.size(), 0);
+    size_t maxVertices = 0;
+    for (size_t r = 0; r < prog_.regions.size(); ++r) {
+        const dfg::Dfg &dfg = prog_.regions[r].dfg;
+        topo_[r] = dfg.topoOrder();
+        topoPos_[r].assign(dfg.numVertices(), 0);
+        for (size_t i = 0; i < topo_[r].size(); ++i)
+            topoPos_[r][topo_[r][i]] = static_cast<int>(i);
+        // Prefix sums of operand counts; the last entry is the total.
+        opBase_[r].assign(dfg.numVertices() + 1, 0);
+        for (const Vertex &vx : dfg.vertices()) {
+            opBase_[r][vx.id + 1] =
+                opBase_[r][vx.id] + static_cast<int>(vx.operands.size());
+            if (vx.isAccumulate())
+                accLat_[r] = std::max(accLat_[r], opInfo(vx.op).latency);
+        }
+        maxVertices = std::max(maxVertices, dfg.vertices().size());
+    }
+    timingQueued_.assign(maxVertices, 0);
     for (size_t r = 0; r < prog_.regions.size(); ++r) {
         const Region &reg = prog_.regions[r];
         if (reg.serialized)
@@ -243,9 +262,6 @@ SpatialScheduler::buildStaticTables()
     heap_.reserve(64);
     sssp_.assign(kSsspSlots, SsspEntry{});
     rev_.assign(kRevSlots, RevEntry{});
-    shortfallScratch_.assign(adg_.nodeIdBound(), 0);
-    shortfallAdj_.assign(adg_.nodeIdBound(), 0);
-    adjStamp_.assign(adg_.nodeIdBound(), 0);
 }
 
 bool
@@ -846,7 +862,9 @@ SpatialScheduler::setValueRoute(Schedule &s, int region,
         if (it != rs.routes.end())
             tracker_.removeRoute(region, val, it->second, true);
         tracker_.addRoute(region, val, route, true);
-        timingDirty_[region] = 1;
+        timing_[region].opLat[opBase_[region][key.first] + key.second] =
+            static_cast<int>(route.size());
+        markTiming(region, key.first);
     }
     if (it != rs.routes.end())
         it->second = std::move(route);
@@ -865,6 +883,8 @@ SpatialScheduler::setRecurrenceRoute(Schedule &s, int region, int sid,
         tracker_.addRoute(
             region, {region, prog_.regions[region].streams[sid].srcPort},
             route, true);
+        // Recurrence latency is recomputed on every refresh of a
+        // dirty region; no vertex time depends on this route.
         timingDirty_[region] = 1;
     }
     rs.recurrenceRoutes.emplace(sid, std::move(route));
@@ -904,7 +924,9 @@ SpatialScheduler::place(Schedule &s, const Slot &slot, NodeId node) const
             tracker_.mapInstruction(slot.region, node, +1);
         else
             tracker_.mapPort(slot.region, node, vx.lanes, +1);
-        timingDirty_[slot.region] = 1;
+        // The hosting node decides v's delay-FIFO shortfall; the new
+        // routes below queue their consumers themselves.
+        markTiming(slot.region, v);
     }
     // Compute every new route against the usage state at entry, then
     // insert them all. Routing against the snapshot (rather than
@@ -967,29 +989,34 @@ SpatialScheduler::unplace(Schedule &s, const Slot &slot) const
             else
                 tracker_.mapPort(slot.region, old, vx.lanes, -1);
         }
-        timingDirty_[slot.region] = 1;
+        markTiming(slot.region, v);
     }
-    // Routes into v.
-    for (auto it = rs.routes.begin(); it != rs.routes.end();) {
-        if (it->first.first == v) {
-            if (inc)
-                tracker_.removeRoute(
-                    slot.region,
-                    {slot.region, vx.operands[it->first.second].src},
-                    it->second, true);
-            it = rs.routes.erase(it);
-        } else {
-            ++it;
+    // Routes into v: keys are (consumer, operand), so they form one
+    // contiguous range of the map.
+    for (auto it = rs.routes.lower_bound({v, 0});
+         it != rs.routes.end() && it->first.first == v;) {
+        if (inc) {
+            tracker_.removeRoute(
+                slot.region,
+                {slot.region, vx.operands[it->first.second].src},
+                it->second, true);
+            timing_[slot.region].opLat[opBase_[slot.region][v] +
+                                       it->first.second] = 0;
         }
+        it = rs.routes.erase(it);
     }
     // Routes out of v.
     for (const auto &use : reg.dfg.uses(v)) {
         auto it = rs.routes.find({use.user, use.operandIdx});
         if (it == rs.routes.end())
             continue;
-        if (inc)
+        if (inc) {
             tracker_.removeRoute(slot.region, {slot.region, v}, it->second,
                                  true);
+            timing_[slot.region].opLat[opBase_[slot.region][use.user] +
+                                       use.operandIdx] = 0;
+            markTiming(slot.region, use.user);
+        }
         rs.routes.erase(it);
     }
     // Specials touching v.
@@ -1150,7 +1177,7 @@ SpatialScheduler::computeRegionTiming(const Schedule &s, size_t r,
 
 Cost
 SpatialScheduler::assemble(const Schedule &s, const UsageTracker &t,
-                           const std::vector<RegionTiming> &timing,
+                           int recurrenceLatency,
                            const std::vector<int> &nodeShortfall,
                            int *linkIiOut) const
 {
@@ -1240,9 +1267,8 @@ SpatialScheduler::assemble(const Schedule &s, const UsageTracker &t,
         }
     }
 
-    // II and recurrence latency from the per-region timing summaries.
-    for (const auto &rt : timing)
-        c.recurrenceLatency = std::max(c.recurrenceLatency, rt.recLat);
+    // II and recurrence latency from the region timing summaries.
+    c.recurrenceLatency = recurrenceLatency;
     int maxIi = linkIi;
     for (const auto &[g, n] : t.activePes()) {
         int cnt = t.peInstCount(g, n) + t.pePassDistinct(g, n);
@@ -1265,7 +1291,7 @@ SpatialScheduler::evaluate(const Schedule &s) const
            static_cast<int>(configGroups_.size()), regionClass_,
            numClasses_);
     t.rebuild(s);
-    std::vector<RegionTiming> timing(prog_.regions.size());
+    int recLat = 0;
     std::vector<int> nodeShortfall(adg_.nodeIdBound(), 0);
     std::vector<int> shortfallScratch(adg_.nodeIdBound(), 0);
     std::vector<int> arrivalScratch;
@@ -1275,21 +1301,147 @@ SpatialScheduler::evaluate(const Schedule &s) const
         auto &rs = const_cast<RegionSchedule &>(s.regions[r]);
         if (rs.serialized)
             continue;
-        timing[r] = computeRegionTiming(s, r, rs.vertexTime,
-                                        shortfallScratch, arrivalScratch);
-        for (const auto &[n, sh] : timing[r].shortfall)
+        RegionTiming rt = computeRegionTiming(s, r, rs.vertexTime,
+                                              shortfallScratch,
+                                              arrivalScratch);
+        recLat = std::max(recLat, rt.recLat);
+        for (const auto &[n, sh] : rt.shortfall)
             nodeShortfall[n] += sh;
     }
-    return assemble(s, t, timing, nodeShortfall, nullptr);
+    return assemble(s, t, recLat, nodeShortfall, nullptr);
 }
 
 void
 SpatialScheduler::bindTo(const Schedule &s) const
 {
     tracker_.rebuild(s);
-    timing_.assign(prog_.regions.size(), {});
-    timingDirty_.assign(prog_.regions.size(), 1);
     std::fill(nodeShortfall_.begin(), nodeShortfall_.end(), 0);
+    for (size_t r = 0; r < prog_.regions.size(); ++r) {
+        RegionTimingState &st = timing_[r];
+        const size_t nv = topo_[r].size();
+        st.time.assign(nv, 0);
+        st.shortfall.assign(nv, 0);
+        st.shortfallNode.assign(nv, kInvalidNode);
+        st.opLat.assign(static_cast<size_t>(opBase_[r].back()), 0);
+        st.pending.clear();
+        st.recLat = 0;
+        timingDirty_[r] = 1;
+        const auto &rs = s.regions[r];
+        if (rs.serialized)
+            continue;
+        for (const auto &[key, route] : rs.routes)
+            st.opLat[opBase_[r][key.first] + key.second] =
+                static_cast<int>(route.size());
+        // Queue every vertex: the first refresh times the region from
+        // scratch through the same propagation the mutations use.
+        st.pending = topo_[r];
+    }
+}
+
+void
+SpatialScheduler::markTiming(int r, VertexId v) const
+{
+    timing_[r].pending.push_back(v);
+    timingDirty_[r] = 1;
+}
+
+void
+SpatialScheduler::propagateTiming(const Schedule &s, size_t r,
+                                  bool journal) const
+{
+    // Incremental static timing analysis over the region's DAG. A
+    // vertex's time is a function of its operands' times and route
+    // lengths only, so popping the queue in topological-position
+    // order re-times every vertex at most once, after all of its
+    // changed producers: a producer is always queued before any
+    // consumer it can reach. Exact for growth (probe placements) and
+    // shrinkage (unplace, rip-up) alike.
+    RegionTimingState &st = timing_[r];
+    const Region &reg = prog_.regions[r];
+    const auto &rs = s.regions[r];
+    if (!st.pending.empty()) {
+        const std::vector<int> &pos = topoPos_[r];
+        if (++timingEpoch_ == 0) {
+            std::fill(timingQueued_.begin(), timingQueued_.end(), 0);
+            timingEpoch_ = 1;
+        }
+        auto &heap = timingHeap_;
+        heap.clear();
+        auto enqueue = [&](VertexId v) {
+            if (timingQueued_[v] == timingEpoch_)
+                return;
+            timingQueued_[v] = timingEpoch_;
+            heap.push_back(pos[v]);
+            std::push_heap(heap.begin(), heap.end(), std::greater<int>());
+        };
+        for (VertexId v : st.pending)
+            enqueue(v);
+        st.pending.clear();
+        while (!heap.empty()) {
+            std::pop_heap(heap.begin(), heap.end(), std::greater<int>());
+            VertexId v = topo_[r][heap.back()];
+            heap.pop_back();
+            const Vertex &vx = reg.dfg.vertex(v);
+            // The same arithmetic as computeRegionTiming, per vertex.
+            int t = 0;
+            int sf = 0;
+            NodeId sfNode = kInvalidNode;
+            if (vx.kind != VertexKind::InputPort) {
+                const int *lat = st.opLat.data() + opBase_[r][v];
+                int maxArr = 0;
+                for (size_t i = 0; i < vx.operands.size(); ++i)
+                    if (!vx.operands[i].isImm())
+                        maxArr = std::max(
+                            maxArr, st.time[vx.operands[i].src] + lat[i]);
+                if (vx.kind == VertexKind::Instruction) {
+                    NodeId n = rs.vertexMap[v];
+                    if (nodeIsStaticPe(n)) {
+                        int depth = adg_.node(n).pe().delayFifoDepth;
+                        for (size_t i = 0; i < vx.operands.size(); ++i) {
+                            const auto &op = vx.operands[i];
+                            if (op.isImm())
+                                continue;
+                            int need = maxArr - (st.time[op.src] + lat[i]);
+                            if (need > depth)
+                                sf += need - depth;
+                        }
+                        if (sf > 0)
+                            sfNode = n;
+                    }
+                    t = maxArr + opInfo(vx.op).latency;
+                } else {
+                    t = maxArr;
+                }
+            }
+            const bool timeMoved = t != st.time[v];
+            const bool sfMoved =
+                sf != st.shortfall[v] || sfNode != st.shortfallNode[v];
+            if (!timeMoved && !sfMoved)
+                continue;
+            if (journal)
+                timingUndo_.push_back(
+                    {v, st.time[v], st.shortfall[v], st.shortfallNode[v]});
+            if (sfMoved) {
+                if (st.shortfallNode[v] != kInvalidNode)
+                    nodeShortfall_[st.shortfallNode[v]] -= st.shortfall[v];
+                if (sfNode != kInvalidNode)
+                    nodeShortfall_[sfNode] += sf;
+                st.shortfall[v] = sf;
+                st.shortfallNode[v] = sfNode;
+            }
+            if (timeMoved) {
+                st.time[v] = t;
+                for (const auto &use : reg.dfg.uses(v))
+                    enqueue(use.user);
+            }
+        }
+    }
+    int recLat = accLat_[r];
+    for (const auto &[sid, route] : rs.recurrenceRoutes)
+        recLat = std::max(recLat,
+                          st.time[reg.streams[sid].srcPort] +
+                              static_cast<int>(route.size()));
+    st.recLat = recLat;
 }
 
 void
@@ -1299,18 +1451,24 @@ SpatialScheduler::refreshTiming(const Schedule &s) const
         if (!timingDirty_[r])
             continue;
         timingDirty_[r] = 0;
-        for (const auto &[n, sh] : timing_[r].shortfall)
-            nodeShortfall_[n] -= sh;
         auto &rs = const_cast<RegionSchedule &>(s.regions[r]);
         if (rs.serialized) {
-            timing_[r] = {};
+            timing_[r].pending.clear();
             continue;
         }
-        timing_[r] = computeRegionTiming(s, r, rs.vertexTime,
-                                         shortfallScratch_, arrivalScratch_);
-        for (const auto &[n, sh] : timing_[r].shortfall)
-            nodeShortfall_[n] += sh;
+        propagateTiming(s, r, false);
+        // Publish the annotation the oracle would have written.
+        rs.vertexTime = timing_[r].time;
     }
+}
+
+int
+SpatialScheduler::trackedRecLat() const
+{
+    int recLat = 0;
+    for (const RegionTimingState &st : timing_)
+        recLat = std::max(recLat, st.recLat);
+    return recLat;
 }
 
 void
@@ -1325,13 +1483,47 @@ SpatialScheduler::verifyTracker(const Schedule &s) const
     DSA_ASSERT(tracker_.equals(fresh, &why), "tracker drift: ", why);
 }
 
+void
+SpatialScheduler::verifyTiming(const Schedule &s) const
+{
+    std::vector<int> nodeShortfall(adg_.nodeIdBound(), 0);
+    std::vector<int> shortfallScratch(adg_.nodeIdBound(), 0);
+    std::vector<int> arrivalScratch;
+    std::vector<int> times;
+    for (size_t r = 0; r < prog_.regions.size(); ++r) {
+        const RegionTimingState &st = timing_[r];
+        if (s.regions[r].serialized) {
+            DSA_ASSERT(st.recLat == 0, "timing drift: serialized region ",
+                       r, " has recurrence latency ", st.recLat);
+            continue;
+        }
+        RegionTiming rt = computeRegionTiming(s, r, times, shortfallScratch,
+                                              arrivalScratch);
+        for (size_t v = 0; v < times.size(); ++v)
+            DSA_ASSERT(times[v] == st.time[v], "timing drift: region ", r,
+                       " vertex ", v, " maintained=", st.time[v],
+                       " oracle=", times[v]);
+        DSA_ASSERT(rt.recLat == st.recLat, "timing drift: region ", r,
+                   " recurrence latency maintained=", st.recLat,
+                   " oracle=", rt.recLat);
+        for (const auto &[n, sh] : rt.shortfall)
+            nodeShortfall[n] += sh;
+    }
+    for (size_t n = 0; n < nodeShortfall.size(); ++n)
+        DSA_ASSERT(nodeShortfall[n] == nodeShortfall_[n],
+                   "timing drift: node ", n, " shortfall maintained=",
+                   nodeShortfall_[n], " oracle=", nodeShortfall[n]);
+}
+
 Cost
 SpatialScheduler::evaluateTracked(const Schedule &s) const
 {
     refreshTiming(s);
-    Cost c = assemble(s, tracker_, timing_, nodeShortfall_, nullptr);
+    Cost c = assemble(s, tracker_, trackedRecLat(), nodeShortfall_,
+                      nullptr);
     if (opts_.checkIncremental) {
         verifyTracker(s);
+        verifyTiming(s);
         Cost full = evaluate(s);
         DSA_ASSERT(c.unplaced == full.unplaced &&
                        c.overuse == full.overuse &&
@@ -1354,7 +1546,8 @@ SpatialScheduler::makeProbeBase(const Schedule &s, const Slot &slot) const
 {
     refreshTiming(s);
     ProbeBase b;
-    b.cost = assemble(s, tracker_, timing_, nodeShortfall_, &b.linkIi);
+    b.cost = assemble(s, tracker_, trackedRecLat(), nodeShortfall_,
+                      &b.linkIi);
     for (size_t r = 0; r < timing_.size(); ++r)
         if (static_cast<int>(r) != slot.region)
             b.recLatOther = std::max(b.recLatOther, timing_[r].recLat);
@@ -1474,39 +1667,23 @@ SpatialScheduler::probeCandidate(Schedule &s, const Slot &slot,
                      std::max(0, t.oldInst + t.oldPass - peCap_[t.node]);
     }
 
+    RegionTimingState &rt = timing_[slot.region];
+    const int recLatBefore = rt.recLat;
     if (slot.isStream) {
         // No timing change: II and recurrence latency keep their
         // baseline values (no edge/PE entries were touched either).
         c.maxIi = base.cost.maxIi;
     } else {
-        // Timing of the slot's region changed; other regions did not.
-        RegionTiming rt =
-            computeRegionTiming(s, static_cast<size_t>(slot.region),
-                                vertexTimeScratch_, shortfallScratch_,
-                                arrivalScratch_);
+        // Only the slot's region re-times, and only downstream of v;
+        // nodeShortfall_ then already holds the probed state's values.
+        timingUndo_.clear();
+        propagateTiming(s, static_cast<size_t>(slot.region), true);
         c.recurrenceLatency = std::max(base.recLatOther, rt.recLat);
-        if (++adjEpoch_ == 0) {
-            std::fill(adjStamp_.begin(), adjStamp_.end(), 0);
-            adjEpoch_ = 1;
-        }
-        auto bump = [&](NodeId n, int d) {
-            if (adjStamp_[n] != adjEpoch_) {
-                adjStamp_[n] = adjEpoch_;
-                shortfallAdj_[n] = 0;
-            }
-            shortfallAdj_[n] += d;
-        };
-        for (const auto &[n, sh] : timing_[slot.region].shortfall)
-            bump(n, -sh);
-        for (const auto &[n, sh] : rt.shortfall)
-            bump(n, +sh);
         int maxIi = linkIi;
         for (const auto &[g, n] : tracker_.activePes()) {
             int cnt = tracker_.peInstCount(g, n) +
                       tracker_.pePassDistinct(g, n);
-            int adj =
-                adjStamp_[n] == adjEpoch_ ? shortfallAdj_[n] : 0;
-            int ii = (peShared_[n] ? cnt : 1) + nodeShortfall_[n] + adj;
+            int ii = (peShared_[n] ? cnt : 1) + nodeShortfall_[n];
             maxIi = std::max(maxIi, ii);
         }
         c.maxIi = maxIi;
@@ -1514,6 +1691,8 @@ SpatialScheduler::probeCandidate(Schedule &s, const Slot &slot,
 
     if (opts_.checkIncremental) {
         verifyTracker(s);
+        if (!slot.isStream)
+            verifyTiming(s);
         Cost full = evaluate(s);
         DSA_ASSERT(c.unplaced == full.unplaced &&
                        c.overuse == full.overuse &&
@@ -1531,6 +1710,25 @@ SpatialScheduler::probeCandidate(Schedule &s, const Slot &slot,
 
     unplace(s, slot);
     tracker_.endProbe();
+    if (!slot.isStream) {
+        // unplace restored the pre-probe schedule exactly, so roll the
+        // journal back instead of re-propagating its queued vertices.
+        // The region stays dirty, so the next refresh re-publishes
+        // vertexTime (the oracle check above overwrote it).
+        for (auto it = timingUndo_.rbegin(); it != timingUndo_.rend();
+             ++it) {
+            if (rt.shortfallNode[it->v] != kInvalidNode)
+                nodeShortfall_[rt.shortfallNode[it->v]] -=
+                    rt.shortfall[it->v];
+            if (it->shortfallNode != kInvalidNode)
+                nodeShortfall_[it->shortfallNode] += it->shortfall;
+            rt.time[it->v] = it->time;
+            rt.shortfall[it->v] = it->shortfall;
+            rt.shortfallNode[it->v] = it->shortfallNode;
+        }
+        rt.recLat = recLatBefore;
+        rt.pending.clear();
+    }
     return c.scalar();
 }
 

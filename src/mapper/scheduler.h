@@ -17,11 +17,19 @@
  * reads edge penalties straight from it with epoch-stamped reusable
  * Dijkstra scratch, and the greedy candidate scan prices each probe
  * with an exact delta against a per-slot baseline (VPR-style
- * incremental cost evaluation). `evaluate()` remains the from-scratch
- * oracle; `SchedOptions::checkIncremental` cross-checks every fast-path
- * result against it. The tracker lives in the scheduler — Schedules
- * stay plain values the DSE can copy freely; `run()` rebuilds tracker
- * state from whatever schedule it is seeded with.
+ * incremental cost evaluation). Region timing (per-vertex arrival
+ * times, static-PE delay-FIFO shortfall per hosting node, recurrence
+ * latency) is maintained the way incremental static timing analysis
+ * does it: each mutation queues the vertices whose inputs changed, and
+ * propagation re-times only those, walking on to the users of any
+ * vertex whose time moved, in topological-position order. A probe
+ * propagates from the placed vertex under a journal and rolls it back
+ * on unplace. `evaluate()` remains the from-scratch oracle;
+ * `SchedOptions::checkIncremental` cross-checks every fast-path result
+ * — tracker, maintained timing and assembled cost — against it. The
+ * tracker and timing state live in the scheduler — Schedules stay
+ * plain values the DSE can copy freely; `run()` rebuilds that state
+ * from whatever schedule it is seeded with.
  */
 
 #ifndef DSA_MAPPER_SCHEDULER_H
@@ -131,8 +139,10 @@ struct SchedOptions
     bool incremental = true;
     /**
      * Debug oracle: assert, at every fast-path evaluation, that the
-     * incrementally-maintained tracker equals a from-scratch rebuild
-     * and that delta probe costs equal full `evaluate()` costs.
+     * incrementally-maintained tracker equals a from-scratch rebuild,
+     * that the maintained region timing equals a from-scratch
+     * computeRegionTiming, and that delta probe costs equal full
+     * `evaluate()` costs.
      */
     bool checkIncremental = false;
     /// @}
@@ -231,13 +241,40 @@ class SpatialScheduler
         int streamId = -1;
     };
 
-    /** Timing summary of one region (cached between mutations). */
+    /** Timing summary of one region (the from-scratch oracle's output). */
     struct RegionTiming
     {
         /** Contribution to Cost::recurrenceLatency. */
         int recLat = 0;
         /** Static-PE delay-FIFO shortfall, per hosting node. */
         std::vector<std::pair<adg::NodeId, int>> shortfall;
+    };
+
+    /**
+     * Incrementally-maintained timing of one region. Per vertex: its
+     * completion time (what computeRegionTiming writes to vertexTime)
+     * and the delay-FIFO shortfall it charges to its hosting node
+     * (node kInvalidNode when it charges none).
+     */
+    struct RegionTimingState
+    {
+        std::vector<int> time;
+        std::vector<int> shortfall;
+        std::vector<adg::NodeId> shortfallNode;
+        /** Route length per (consumer, operand), at opBase_ offsets. */
+        std::vector<int> opLat;
+        /** Vertices whose inputs changed since the last propagation. */
+        std::vector<dfg::VertexId> pending;
+        int recLat = 0;
+    };
+
+    /** One probe-journal entry: a vertex's timing before propagation. */
+    struct TimingUndo
+    {
+        dfg::VertexId v = dfg::kInvalidVertex;
+        int time = 0;
+        int shortfall = 0;
+        adg::NodeId shortfallNode = adg::kInvalidNode;
     };
 
     /** Per-slot baseline for exact delta probes. */
@@ -410,17 +447,29 @@ class SpatialScheduler
                                      std::vector<int> &shortfallScratch,
                                      std::vector<int> &arrivalScratch) const;
     Cost assemble(const Schedule &s, const UsageTracker &t,
-                  const std::vector<RegionTiming> &timing,
+                  int recurrenceLatency,
                   const std::vector<int> &nodeShortfall,
                   int *linkIiOut) const;
     /// @}
 
     /// @name Incremental fast path
     /// @{
-    /** Rebuild tracker + timing caches from @p s (run() entry). */
+    /** Rebuild tracker + timing state from @p s (run() entry). */
     void bindTo(const Schedule &s) const;
-    /** Recompute timing for regions dirtied since the last refresh. */
+    /** Queue @p v of region @p r for re-timing (its inputs changed). */
+    void markTiming(int r, dfg::VertexId v) const;
+    /**
+     * Re-time region @p r from its queued vertices: recompute each in
+     * topological-position order, enqueue the users of any whose time
+     * changed, move shortfall between hosting nodes, then recompute
+     * the region's recurrence latency. With @p journal, every changed
+     * vertex's prior timing is appended to timingUndo_.
+     */
+    void propagateTiming(const Schedule &s, size_t r, bool journal) const;
+    /** Propagate regions dirtied since the last refresh (+vertexTime). */
     void refreshTiming(const Schedule &s) const;
+    /** Max maintained recurrence latency over all regions. */
+    int trackedRecLat() const;
     /** Tracker-backed evaluation of the tracked schedule. */
     Cost evaluateTracked(const Schedule &s) const;
     ProbeBase makeProbeBase(const Schedule &s, const Slot &slot) const;
@@ -429,6 +478,11 @@ class SpatialScheduler
                           const ProbeBase &base) const;
     /** checkIncremental: assert tracker equals a fresh rebuild. */
     void verifyTracker(const Schedule &s) const;
+    /**
+     * checkIncremental: assert the maintained times, recurrence
+     * latencies and per-node shortfall equal computeRegionTiming.
+     */
+    void verifyTiming(const Schedule &s) const;
     /// @}
 
     bool nodeIsDynamicPe(adg::NodeId n) const;
@@ -444,6 +498,15 @@ class SpatialScheduler
     std::vector<int> regionClass_;
     /** Memoized per-region topological order (the DFG is immutable). */
     std::vector<std::vector<dfg::VertexId>> topo_;
+    /** Inverse of topo_: each vertex's position in its region's order. */
+    std::vector<std::vector<int>> topoPos_;
+    /**
+     * Per region, each vertex's first slot in RegionTimingState::opLat
+     * (operand-count prefix sums; the extra last entry is the total).
+     */
+    std::vector<std::vector<int>> opBase_;
+    /** Per region, max latency of its accumulate instructions. */
+    std::vector<int> accLat_;
 
     /** Distinct config groups, ascending (hoisted from evaluate()). */
     std::vector<int> configGroups_;
@@ -494,11 +557,13 @@ class SpatialScheduler
 
     /** Incrementally-maintained usage/occupancy state. */
     mutable UsageTracker tracker_;
-    /** Cached per-region timing + dirty bits. */
-    mutable std::vector<RegionTiming> timing_;
+    /** Incrementally-maintained per-region timing + refresh bits. */
+    mutable std::vector<RegionTimingState> timing_;
     mutable std::vector<char> timingDirty_;
     /** Static-PE delay shortfall summed across regions, per node. */
     mutable std::vector<int> nodeShortfall_;
+    /** Probe journal of propagateTiming (rolled back after the probe). */
+    mutable std::vector<TimingUndo> timingUndo_;
 
     /// @name Reusable scratch (epoch-stamped; no per-call allocation)
     /// @{
@@ -512,17 +577,16 @@ class SpatialScheduler
     mutable std::vector<double> hVal_;
     /** A* tie-break key: g of the predecessor that set via_[n]. */
     mutable std::vector<double> predG_;
-    mutable std::vector<int> shortfallScratch_;
-    mutable std::vector<int> arrivalScratch_;
     /** computeRegionTiming's touched-node list (consumed per call). */
     mutable std::vector<adg::NodeId> timingTouched_;
-    mutable std::vector<int> vertexTimeScratch_;
     /** place()'s snapshot-route staging buffer (consumed per call). */
     mutable std::vector<std::pair<std::pair<dfg::VertexId, int>, Route>>
         placeScratch_;
-    mutable std::vector<int> shortfallAdj_;
-    mutable std::vector<uint32_t> adjStamp_;
-    mutable uint32_t adjEpoch_ = 0;
+    /** propagateTiming's min-heap of topological positions. */
+    mutable std::vector<int> timingHeap_;
+    /** Per-vertex "already queued" stamps for propagateTiming. */
+    mutable std::vector<uint32_t> timingQueued_;
+    mutable uint32_t timingEpoch_ = 0;
     /// @}
 };
 

@@ -1,18 +1,23 @@
 /**
  * @file
  * Tests for the scheduler's incrementally-maintained bookkeeping
- * (UsageTracker + delta probes).
+ * (UsageTracker, region timing, delta probes).
  *
  * Strategy: the rip-up/re-place loop of `SpatialScheduler::run` *is* a
  * long random sequence of place/unplace/route mutations, so running it
  * with `SchedOptions::checkIncremental` acts as a property test — at
  * every probe and every evaluation the scheduler asserts that (a) the
- * hook-maintained tracker equals a from-scratch rebuild and (b) the
- * delta-evaluated probe cost equals the full `evaluate()` oracle.
+ * hook-maintained tracker equals a from-scratch rebuild, (b) the
+ * incrementally-propagated region timing (vertex times, recurrence
+ * latency, per-node delay shortfall) equals a from-scratch
+ * computeRegionTiming, and (c) the delta-evaluated probe cost equals
+ * the full `evaluate()` oracle.
  * On top of that, reference-mode runs (`incremental = false`, which
  * recomputes everything from the schedule at each use point) must
  * produce bit-identical schedules for the same seed.
  */
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
@@ -71,17 +76,44 @@ expectIdentical(const Schedule &a, const Schedule &b,
 }
 
 /**
- * Property test: the whole stochastic run, cross-checked at every
- * step. checkIncremental makes each probe assert tracker == rebuild
- * and delta cost == oracle cost, so any drift in the incremental
- * bookkeeping aborts the test with the first divergent field.
+ * One (workload, unroll) version to schedule. The unroll-1 versions
+ * place legally; md, stencil-2d and qr at unroll 4 are the versions
+ * whose Fig. 10 schedules end illegal, so the search spends its whole
+ * budget in overuse and, on static PEs, in delay-FIFO shortfall, where
+ * rip-up and refill move arrival times in both directions — the
+ * hardest case for incremental timing.
  */
-class CheckedRun : public ::testing::TestWithParam<const char *> {};
+struct Case
+{
+    const char *workload;
+    int unroll;
+};
+
+std::string
+caseName(const ::testing::TestParamInfo<Case> &info)
+{
+    std::string name = std::string(info.param.workload) + "_u" +
+                       std::to_string(info.param.unroll);
+    std::replace(name.begin(), name.end(), '-', '_');
+    return name;
+}
+
+const Case kIllegalAtUnroll4[] = {
+    {"md", 4}, {"stencil-2d", 4}, {"qr", 4}};
+
+/**
+ * Property test: the whole stochastic run, cross-checked at every
+ * step. checkIncremental makes each probe assert tracker == rebuild,
+ * maintained timing == computeRegionTiming and delta cost == oracle
+ * cost, so any drift in the incremental bookkeeping aborts the test
+ * with the first divergent field.
+ */
+class CheckedRun : public ::testing::TestWithParam<Case> {};
 
 TEST_P(CheckedRun, TrackerAndDeltasMatchOracleEveryStep)
 {
-    adg::Adg hw = targetFor(GetParam());
-    auto prog = lowerOn(hw, GetParam());
+    adg::Adg hw = targetFor(GetParam().workload);
+    auto prog = lowerOn(hw, GetParam().workload, GetParam().unroll);
     auto sched = scheduleProgram(prog, hw,
                                  {.maxIters = 25,
                                   .seed = 7,
@@ -93,32 +125,41 @@ TEST_P(CheckedRun, TrackerAndDeltasMatchOracleEveryStep)
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, CheckedRun,
-                         ::testing::Values("crs", "classifier",
-                                           "histogram"));
+                         ::testing::Values(Case{"crs", 1},
+                                           Case{"classifier", 1},
+                                           Case{"histogram", 1}),
+                         caseName);
+INSTANTIATE_TEST_SUITE_P(IllegalAtUnroll4, CheckedRun,
+                         ::testing::ValuesIn(kIllegalAtUnroll4), caseName);
 
 /**
  * Bit-identical equivalence: the incremental fast path and the
  * recompute-everything reference mode must make the same decisions —
  * same routes, same placements, same cost — for the same seed.
  */
-class Equivalence : public ::testing::TestWithParam<const char *> {};
+class Equivalence : public ::testing::TestWithParam<Case> {};
 
 TEST_P(Equivalence, IncrementalMatchesReferenceBitForBit)
 {
-    adg::Adg hw = targetFor(GetParam());
-    auto prog = lowerOn(hw, GetParam());
+    adg::Adg hw = targetFor(GetParam().workload);
+    auto prog = lowerOn(hw, GetParam().workload, GetParam().unroll);
     SchedOptions fast{.maxIters = 60, .seed = 13};
     SchedOptions ref = fast;
     ref.incremental = false;
     auto a = scheduleProgram(prog, hw, fast);
     auto b = scheduleProgram(prog, hw, ref);
-    expectIdentical(a, b, std::string("incremental-vs-reference on ") +
-                              GetParam());
+    expectIdentical(a, b,
+                    std::string("incremental-vs-reference on ") +
+                        caseName({GetParam(), 0}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, Equivalence,
-                         ::testing::Values("crs", "mm", "classifier",
-                                           "histogram"));
+                         ::testing::Values(Case{"crs", 1}, Case{"mm", 1},
+                                           Case{"classifier", 1},
+                                           Case{"histogram", 1}),
+                         caseName);
+INSTANTIATE_TEST_SUITE_P(IllegalAtUnroll4, Equivalence,
+                         ::testing::ValuesIn(kIllegalAtUnroll4), caseName);
 
 TEST(Equivalence, RepairPathMatchesReferenceBitForBit)
 {
