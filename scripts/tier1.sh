@@ -74,14 +74,18 @@ echo "== tier-1: robustness, simulator and scheduler tests under ASan+UBSan =="
 # epoch-stamped queue and a topological-position heap, and rolls probe
 # journals back by hand — an index slip there corrupts timing silently
 # until the oracle notices, but ASan sees it at the first bad access.
+# test_scheduler_parallel joins it: its checkRoutes runs drive the
+# branch-and-bound candidate scan, whose lower bound indexes the flat
+# all-pairs hop table and walks the tracker's per-value edge bitsets
+# by hand-computed word and bit offsets.
 cmake -B build-asan -S . -DDSA_SANITIZE=address,undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$JOBS" --target test_robustness \
       test_sim_sparse test_sim_compiled test_sim_jit \
-      test_scheduler_incremental
+      test_scheduler_incremental test_scheduler_parallel
 ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure \
-          -R 'test_robustness|test_sim_sparse|test_sim_compiled|test_sim_jit|test_scheduler_incremental'
+          -R 'test_robustness|test_sim_sparse|test_sim_compiled|test_sim_jit|test_scheduler_incremental|test_scheduler_parallel'
 
 echo
 echo "tier-1 OK"

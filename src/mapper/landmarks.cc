@@ -89,6 +89,7 @@ struct LandmarkCache
     std::mutex mu;
     std::map<LandmarkKey, std::shared_ptr<const LandmarkTable>> tables;
     LandmarkCacheStats stats;
+    std::map<uint64_t, std::shared_ptr<const HopTable>> hops;
 };
 
 LandmarkCache &
@@ -196,6 +197,51 @@ landmarkCacheStats()
     auto &c = cache();
     std::lock_guard<std::mutex> lock(c.mu);
     return c.stats;
+}
+
+HopTable::HopTable(const adg::Adg &adg, const std::vector<char> &passable)
+{
+    nodeBound_ = static_cast<size_t>(adg.nodeIdBound());
+    h_.assign(nodeBound_ * nodeBound_, kNoPath);
+    std::vector<adg::NodeId> queue;
+    queue.reserve(nodeBound_);
+    for (adg::NodeId src : adg.aliveNodes()) {
+        uint8_t *row = &h_[static_cast<size_t>(src) * nodeBound_];
+        row[src] = 0;
+        queue.assign(1, src);
+        for (size_t head = 0; head < queue.size(); ++head) {
+            adg::NodeId n = queue[head];
+            if (n != src && !passable[n])
+                continue; // a target only — paths never pass through
+            uint8_t next = std::min<int>(row[n] + 1, kNoPath - 1);
+            for (adg::EdgeId e : adg.outEdges(n)) {
+                if (!adg.edgeAlive(e))
+                    continue;
+                adg::NodeId m = adg.edge(e).dst;
+                if (!adg.nodeAlive(m) || row[m] != kNoPath)
+                    continue;
+                row[m] = next;
+                queue.push_back(m);
+            }
+        }
+    }
+}
+
+std::shared_ptr<const HopTable>
+hopTableFor(const adg::Adg &adg, const std::vector<char> &passable)
+{
+    uint64_t key = adg::labelingHash(adg);
+    auto &c = cache();
+    {
+        std::lock_guard<std::mutex> lock(c.mu);
+        auto it = c.hops.find(key);
+        if (it != c.hops.end())
+            return it->second;
+    }
+    // Built outside the lock, first insert wins (see landmarksFor).
+    auto table = std::make_shared<const HopTable>(adg, passable);
+    std::lock_guard<std::mutex> lock(c.mu);
+    return c.hops.emplace(key, std::move(table)).first->second;
 }
 
 } // namespace dsa::mapper

@@ -33,6 +33,9 @@
  * work and wrong here) + the knob values: every annealing chain, every
  * (kernel, unroll) task, and every DSE mutant that keeps the fabric
  * topology reuses one table instead of recomputing it.
+ *
+ * The same cache also holds each fabric's HopTable, the static hop
+ * counts behind the scheduler's routing-free probe lower bound.
  */
 
 #ifndef DSA_MAPPER_LANDMARKS_H
@@ -134,6 +137,46 @@ landmarksFor(const adg::Adg &adg, double baseCost, double pePassCost);
 
 /** Snapshot of the process-wide landmark-cache counters. */
 LandmarkCacheStats landmarkCacheStats();
+
+/**
+ * All-pairs hop counts for the scheduler's routing-free probe bound:
+ * hops(a, b) is the fewest edges on any path a -> b whose interior
+ * nodes may forward a value of *either* flow kind. A real route is a
+ * path of one flow kind, so it has at least hops(a, b) edges, and
+ * hops(a, b) == kNoPath proves no route a -> b exists. Counts saturate
+ * at kNoPath - 1, which only weakens the bound.
+ */
+class HopTable
+{
+  public:
+    static constexpr uint8_t kNoPath = 255;
+
+    /**
+     * BFS from every alive node of @p adg over alive edges; a node
+     * other than the source is expanded only if @p passable is set for
+     * it (nodeIdBound-sized). Sources and targets need no flag.
+     */
+    HopTable(const adg::Adg &adg, const std::vector<char> &passable);
+
+    uint8_t hops(adg::NodeId a, adg::NodeId b) const
+    {
+        return h_[static_cast<size_t>(a) * nodeBound_ + b];
+    }
+
+  private:
+    size_t nodeBound_ = 0;
+    /** Row-major: h_[a * nodeBound + b]. */
+    std::vector<uint8_t> h_;
+};
+
+/**
+ * Process-wide hop-table cache keyed by the ADG labeling hash, like
+ * landmarksFor. @p passable must be a pure function of the labeled
+ * ADG (the scheduler derives it from node kinds and parameters), so
+ * the key pins the table.
+ */
+std::shared_ptr<const HopTable>
+hopTableFor(const adg::Adg &adg, const std::vector<char> &passable);
 
 } // namespace dsa::mapper
 

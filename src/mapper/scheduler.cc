@@ -53,6 +53,8 @@ SchedStats::merge(const SchedStats &o)
     revHits += o.revHits;
     probeMemoHits += o.probeMemoHits;
     probeMemoMisses += o.probeMemoMisses;
+    probesRun += o.probesRun;
+    probesSkipped += o.probesSkipped;
     iterations += o.iterations;
     chainsRun += o.chainsRun;
 }
@@ -80,6 +82,10 @@ SpatialScheduler::SpatialScheduler(const dfg::DecoupledProgram &prog,
         }
     }
     buildStaticTables();
+    std::vector<char> passable(nodeFlags_.size());
+    for (size_t n = 0; n < nodeFlags_.size(); ++n)
+        passable[n] = (nodeFlags_[n] & (kPassDyn | kPassStatic)) != 0;
+    hops_ = hopTableFor(adg_, passable);
     if (opts_.routeFastPath)
         landmarks_ = opts_.landmarks
             ? opts_.landmarks
@@ -1551,7 +1557,102 @@ SpatialScheduler::makeProbeBase(const Schedule &s, const Slot &slot) const
     for (size_t r = 0; r < timing_.size(); ++r)
         if (static_cast<int>(r) != slot.region)
             b.recLatOther = std::max(b.recLatOther, timing_[r].recLat);
+    if (slot.isStream)
+        return b;
+
+    // The floors of probeLowerBound. A probe re-times only the slot
+    // vertex's downstream cone, so the shortfall every other vertex
+    // charges stays; cone vertices charge >= 0 in any probe.
+    const RegionTimingState &st = timing_[slot.region];
+    const dfg::Dfg &dfg = prog_.regions[slot.region].dfg;
+    b.shortfallFloor = nodeShortfall_;
+    if (++timingEpoch_ == 0) {
+        std::fill(timingQueued_.begin(), timingQueued_.end(), 0);
+        timingEpoch_ = 1;
+    }
+    std::vector<int> &stack = timingHeap_;
+    stack.assign(1, slot.vertex);
+    timingQueued_[slot.vertex] = timingEpoch_;
+    while (!stack.empty()) {
+        VertexId u = stack.back();
+        stack.pop_back();
+        if (st.shortfallNode[u] != kInvalidNode)
+            b.shortfallFloor[st.shortfallNode[u]] -= st.shortfall[u];
+        for (const auto &use : dfg.uses(u)) {
+            if (timingQueued_[use.user] == timingEpoch_)
+                continue;
+            timingQueued_[use.user] = timingEpoch_;
+            stack.push_back(use.user);
+        }
+    }
+    b.iiFloor = b.linkIi;
+    for (const auto &[g, n] : tracker_.activePes()) {
+        int cnt = tracker_.peInstCount(g, n) + tracker_.pePassDistinct(g, n);
+        b.iiFloor = std::max(b.iiFloor, (peShared_[n] ? cnt : 1) +
+                                            b.shortfallFloor[n]);
+    }
     return b;
+}
+
+int
+SpatialScheduler::unroutedSpecials(const Schedule &s, int region,
+                                   VertexId v) const
+{
+    const Region &reg = prog_.regions[region];
+    const auto &rs = s.regions[region];
+    auto placed = [&](int r, VertexId u) {
+        return (r == region && u == v) ||
+               s.regions[r].vertexMap[u] != kInvalidNode;
+    };
+    int n = 0;
+    for (const Stream &st : reg.streams) {
+        if (st.kind != StreamKind::Recurrence)
+            continue;
+        if (st.srcPort != v && st.port != v)
+            continue;
+        if (placed(region, st.srcPort) && placed(region, st.port) &&
+            !rs.recurrenceRoutes.count(st.id))
+            ++n;
+    }
+    for (size_t fi = 0; fi < prog_.forwards.size(); ++fi) {
+        const auto &f = prog_.forwards[fi];
+        if (f.viaMemory)
+            continue;
+        bool touches = (f.srcRegion == region && f.srcPort == v) ||
+                       (f.dstRegion == region && f.dstPort == v);
+        if (touches && placed(f.srcRegion, f.srcPort) &&
+            placed(f.dstRegion, f.dstPort) &&
+            !s.forwardRoutes.count(static_cast<int>(fi)))
+            ++n;
+    }
+    return n;
+}
+
+int
+SpatialScheduler::violationsAt(const Schedule &s, const Slot &slot,
+                               NodeId n) const
+{
+    // New protocol violations are exactly those involving the vertex.
+    const Region &reg = prog_.regions[slot.region];
+    const auto &rs = s.regions[slot.region];
+    const Vertex &vx = reg.dfg.vertex(slot.vertex);
+    if (vx.kind != VertexKind::Instruction)
+        return 0;
+    int out = 0;
+    if (nodeIsStaticPe(n)) {
+        for (const auto &op : vx.operands)
+            if (!op.isImm() && nodeIsDynamicPe(rs.vertexMap[op.src]))
+                ++out;
+    }
+    if (nodeIsDynamicPe(n)) {
+        for (const auto &use : reg.dfg.uses(slot.vertex)) {
+            const Vertex &uv = reg.dfg.vertex(use.user);
+            if (uv.kind == VertexKind::Instruction &&
+                nodeIsStaticPe(rs.vertexMap[use.user]))
+                ++out;
+        }
+    }
+    return out;
 }
 
 double
@@ -1598,50 +1699,9 @@ SpatialScheduler::probeCandidate(Schedule &s, const Slot &slot,
             if (!rs.routes.count({use.user, use.operandIdx}))
                 ++c.unplaced;
         }
-        for (const Stream &st : reg.streams) {
-            if (st.kind != StreamKind::Recurrence)
-                continue;
-            if (st.srcPort != v && st.port != v)
-                continue;
-            if (rs.vertexMap[st.srcPort] != kInvalidNode &&
-                rs.vertexMap[st.port] != kInvalidNode &&
-                !rs.recurrenceRoutes.count(st.id))
-                ++c.unplaced;
-        }
-        for (size_t fi = 0; fi < prog_.forwards.size(); ++fi) {
-            const auto &f = prog_.forwards[fi];
-            if (f.viaMemory)
-                continue;
-            bool touches =
-                (f.srcRegion == slot.region && f.srcPort == v) ||
-                (f.dstRegion == slot.region && f.dstPort == v);
-            if (!touches)
-                continue;
-            if (s.regions[f.srcRegion].vertexMap[f.srcPort] !=
-                    kInvalidNode &&
-                s.regions[f.dstRegion].vertexMap[f.dstPort] !=
-                    kInvalidNode &&
-                !s.forwardRoutes.count(static_cast<int>(fi)))
-                ++c.unplaced;
-        }
-
-        if (vx.kind == VertexKind::Instruction) {
-            // New protocol violations are exactly those involving v.
-            if (nodeIsStaticPe(cand)) {
-                for (const auto &op : vx.operands)
-                    if (!op.isImm() &&
-                        nodeIsDynamicPe(rs.vertexMap[op.src]))
-                        ++c.violations;
-            }
-            if (nodeIsDynamicPe(cand)) {
-                for (const auto &use : reg.dfg.uses(v)) {
-                    const Vertex &uv = reg.dfg.vertex(use.user);
-                    if (uv.kind == VertexKind::Instruction &&
-                        nodeIsStaticPe(rs.vertexMap[use.user]))
-                        ++c.violations;
-                }
-            }
-        } else {
+        c.unplaced += unroutedSpecials(s, slot.region, v);
+        c.violations += violationsAt(s, slot, cand);
+        if (vx.kind != VertexKind::Instruction) {
             int g = tracker_.groupOf(slot.region);
             int now = tracker_.syncLaneCount(g, cand);
             c.overuse += std::max(0, now - syncCap_[cand]) -
@@ -1732,6 +1792,131 @@ SpatialScheduler::probeCandidate(Schedule &s, const Slot &slot,
     return c.scalar();
 }
 
+double
+SpatialScheduler::probeLowerBound(const Schedule &s, const Slot &slot,
+                                  NodeId cand, const ProbeBase &base) const
+{
+    // Every field below is at most probeCandidate's, and scalar() is
+    // monotone in each, so the scan may skip a candidate whose bound
+    // cannot beat its best cost. A probe only adds routes, all with
+    // cand as one endpoint, so usage only grows and arrival times only
+    // move later. A route the hop table allows can still fail for its
+    // flow kind; the probe then pays 1e6 of unplaced work, far above
+    // what the bound charges that pair in overuse and wire. A pair the
+    // bound already counts as unplaced must therefore charge nothing
+    // else.
+    Cost c = base.cost;
+    --c.unplaced; // the slot itself
+    if (slot.isStream) {
+        // Exact: a stream adds no routes, only memory occupancy.
+        int now =
+            tracker_.memStreamCount(regionClass_[slot.region], cand) + 1;
+        c.overuse += std::max(0, now - memCap_[cand]) -
+                     std::max(0, now - 1 - memCap_[cand]);
+        return c.scalar();
+    }
+    const Region &reg = prog_.regions[slot.region];
+    const auto &rs = s.regions[slot.region];
+    const VertexId v = slot.vertex;
+    const Vertex &vx = reg.dfg.vertex(v);
+    const int g = tracker_.groupOf(slot.region);
+    const HopTable &hop = *hops_;
+    // The router returns no route between equal endpoints, and none
+    // where the hop table (a superset of both flow kinds) has no path.
+    auto routable = [&](NodeId a, NodeId b) {
+        return a != b && hop.hops(a, b) != HopTable::kNoPath;
+    };
+    // True when every edge of @p edges is at capacity in group g and
+    // none carries @p val: a route for val over any of them adds one
+    // value to a full edge.
+    auto saturatedFor = [&](const std::vector<EdgeId> &edges,
+                            const ValueKey &val) {
+        for (EdgeId e : edges)
+            if (tracker_.distinctOnEdge(g, e) < edgeCap_[e] ||
+                tracker_.valueOnEdge(g, e, val))
+                return false;
+        return true;
+    };
+
+    // Operands: each distinct reachable producer value X pays, at the
+    // least, the hops from the nearest node X already reaches (its
+    // producer, or the head of an edge carrying it) to cand, since a
+    // route's edges after the last one already carrying X are new.
+    for (size_t i = 0; i < vx.operands.size(); ++i) {
+        const auto &op = vx.operands[i];
+        if (op.isImm())
+            continue;
+        NodeId from = rs.vertexMap[op.src];
+        if (from == kInvalidNode)
+            continue;
+        if (!routable(from, cand)) {
+            ++c.unplaced;
+            continue;
+        }
+        bool seen = false;
+        for (size_t j = 0; j < i && !seen; ++j)
+            seen = !vx.operands[j].isImm() &&
+                   vx.operands[j].src == op.src;
+        if (seen)
+            continue;
+        ValueKey val{slot.region, op.src};
+        int wire = hop.hops(from, cand);
+        if (tracker_.edgesCarrying(g, val) > 0) {
+            const uint64_t *bits = tracker_.valueEdgeBits(g, val);
+            for (size_t w = 0; w < tracker_.edgeWords() && wire > 0; ++w)
+                for (uint64_t b = bits[w]; b; b &= b - 1) {
+                    auto e = static_cast<EdgeId>(
+                        w * 64 + static_cast<size_t>(__builtin_ctzll(b)));
+                    wire = std::min<int>(wire,
+                                         hop.hops(edgeDst_[e], cand));
+                }
+        }
+        c.wirelength += wire;
+        if (saturatedFor(adg_.inEdges(cand), val))
+            ++c.overuse;
+    }
+    // Uses: the slot's own value V. Its routes all leave cand; when V
+    // is on no edge yet, each of their edges is new, and the longest
+    // alone has at least the hops to its consumer.
+    int outHops = -1;
+    for (const auto &use : reg.dfg.uses(v)) {
+        NodeId to = rs.vertexMap[use.user];
+        if (to == kInvalidNode)
+            continue;
+        if (!routable(cand, to)) {
+            ++c.unplaced;
+            continue;
+        }
+        outHops = std::max<int>(outHops, hop.hops(cand, to));
+    }
+    if (outHops >= 0) {
+        ValueKey val{slot.region, v};
+        if (tracker_.edgesCarrying(g, val) == 0)
+            c.wirelength += outHops;
+        if (saturatedFor(adg_.outEdges(cand), val))
+            ++c.overuse;
+    }
+    c.unplaced += unroutedSpecials(s, slot.region, v);
+    c.violations += violationsAt(s, slot, cand);
+
+    // Occupancy at cand itself, exactly as the probe charges it, and
+    // the II floor raised by cand's own instruction slot.
+    c.maxIi = base.iiFloor;
+    if (vx.kind == VertexKind::Instruction) {
+        int cnt = tracker_.peInstCount(g, cand) +
+                  tracker_.pePassDistinct(g, cand);
+        c.overuse += std::max(0, cnt + 1 - peCap_[cand]) -
+                     std::max(0, cnt - peCap_[cand]);
+        c.maxIi = std::max(c.maxIi, (peShared_[cand] ? cnt + 1 : 1) +
+                                        base.shortfallFloor[cand]);
+    } else {
+        int now = tracker_.syncLaneCount(g, cand) + vx.lanes;
+        c.overuse += std::max(0, now - syncCap_[cand]) -
+                     std::max(0, now - vx.lanes - syncCap_[cand]);
+    }
+    return c.scalar();
+}
+
 uint64_t
 SpatialScheduler::placementHash(const Schedule &s, size_t slotIdx) const
 {
@@ -1785,16 +1970,20 @@ SpatialScheduler::fillUnplaced(Schedule &s)
             if (cands.empty())
                 continue;
             rng_.shuffle(cands);
-            double bestCost = 0;
+            // The scan considers the first m shuffled candidates and
+            // picks the lowest cost, the earliest one on ties.
+            const size_t m = std::min(
+                cands.size(),
+                static_cast<size_t>(std::max(1, opts_.candidateScanCap)));
             NodeId bestNode = kInvalidNode;
-            int tried = 0;
             // Probe-scan memo: the annealer's rip-up / refill loop
-            // revisits the same states constantly once near-converged,
-            // and the scan is a pure function of the placement state,
-            // so an exact-state repeat can reuse the previous winner.
-            // The membership check makes a (astronomically unlikely)
-            // hash collision degrade to a full scan, never a bogus
-            // placement.
+            // revisits the same states constantly once near-converged;
+            // an exact-state repeat reuses the previous winner instead
+            // of scanning again. That is a heuristic, not a replay: the
+            // shuffle above differs between visits, so a fresh scan may
+            // pick another candidate. The membership check makes a
+            // (astronomically unlikely) hash collision degrade to a
+            // full scan, never a bogus placement.
             size_t slotIdx =
                 static_cast<size_t>(&slot - slots_.data());
             uint64_t pkey = placementHash(s, slotIdx);
@@ -1805,28 +1994,69 @@ SpatialScheduler::fillUnplaced(Schedule &s)
                 ++stats_.probeMemoHits;
                 bestNode = memo->second;
             } else if (opts_.incremental) {
+                // Branch and bound: probe in (lower bound, position)
+                // order and stop at the first candidate whose bound
+                // cannot beat the best so far. Every candidate left
+                // has a bound, hence a cost, at least that high, so
+                // the in-order scan's winner is always probed.
                 ProbeBase base = makeProbeBase(s, slot);
-                for (NodeId cand : cands) {
-                    double cost = probeCandidate(s, slot, cand, base);
-                    if (bestNode == kInvalidNode || cost < bestCost) {
-                        bestCost = cost;
-                        bestNode = cand;
-                    }
-                    // Cap the candidate scan to bound iteration time.
-                    if (++tried >= opts_.candidateScanCap)
+                auto &order = scanOrder_;
+                order.clear();
+                for (size_t i = 0; i < m; ++i)
+                    order.push_back(
+                        {probeLowerBound(s, slot, cands[i], base), i});
+                std::sort(order.begin(), order.end());
+                double bestCost = 0;
+                size_t bestIdx = m;
+                size_t probed = 0;
+                for (const auto &[lb, i] : order) {
+                    if (bestIdx < m &&
+                        (lb > bestCost || (lb == bestCost && i > bestIdx)))
                         break;
+                    double cost = probeCandidate(s, slot, cands[i], base);
+                    ++probed;
+                    if (bestIdx == m || cost < bestCost ||
+                        (cost == bestCost && i < bestIdx)) {
+                        bestCost = cost;
+                        bestIdx = i;
+                    }
+                }
+                stats_.probesRun += probed;
+                stats_.probesSkipped += m - probed;
+                bestNode = cands[bestIdx];
+                if (opts_.checkIncremental) {
+                    // Oracle: the plain in-order scan, with every
+                    // candidate's bound checked against its cost.
+                    size_t refIdx = 0;
+                    double refCost = 0;
+                    for (size_t i = 0; i < m; ++i) {
+                        double lb = probeLowerBound(s, slot, cands[i], base);
+                        double cost = probeCandidate(s, slot, cands[i], base);
+                        DSA_ASSERT(cost >= lb, "probe lower bound ", lb,
+                                   " exceeds probe cost ", cost,
+                                   " at node ", cands[i]);
+                        if (i == 0 || cost < refCost) {
+                            refCost = cost;
+                            refIdx = i;
+                        }
+                    }
+                    DSA_ASSERT(refIdx == bestIdx,
+                               "branch and bound picked candidate ",
+                               bestIdx, " (cost ", bestCost,
+                               "), the in-order scan ", refIdx, " (cost ",
+                               refCost, ")");
                 }
             } else {
-                for (NodeId cand : cands) {
-                    place(s, slot, cand);
+                double bestCost = 0;
+                for (size_t i = 0; i < m; ++i) {
+                    place(s, slot, cands[i]);
                     double cost = evaluate(s).scalar();
                     unplace(s, slot);
+                    ++stats_.probesRun;
                     if (bestNode == kInvalidNode || cost < bestCost) {
                         bestCost = cost;
-                        bestNode = cand;
+                        bestNode = cands[i];
                     }
-                    if (++tried >= opts_.candidateScanCap)
-                        break;
                 }
             }
             if (memo == probeMemo_.end()) {

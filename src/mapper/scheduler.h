@@ -26,8 +26,19 @@
  * propagates from the placed vertex under a journal and rolls it back
  * on unplace. `evaluate()` remains the from-scratch oracle;
  * `SchedOptions::checkIncremental` cross-checks every fast-path result
- * — tracker, maintained timing and assembled cost — against it. The
- * tracker and timing state live in the scheduler — Schedules stay
+ * — tracker, maintained timing and assembled cost — against it.
+ *
+ * The candidate scan is an exact best-first branch and bound: each
+ * candidate first gets a routing-free lower bound on its probe cost
+ * (occupancy deltas, unreachable pairs and hop-count wire from a static
+ * per-fabric hop table, and II/latency floors no probe can go below),
+ * then candidates are probed in (bound, shuffled position) order until
+ * the next bound cannot beat the best cost so far. The winner is the
+ * one the plain in-order scan picks — lowest cost, earliest position
+ * on ties — which reference mode still runs and checkIncremental
+ * asserts.
+ *
+ * The tracker and timing state live in the scheduler — Schedules stay
  * plain values the DSE can copy freely; `run()` rebuilds that state
  * from whatever schedule it is seeded with.
  */
@@ -53,6 +64,7 @@ class ThreadPool;
 
 namespace dsa::mapper {
 
+class HopTable;
 class LandmarkTable;
 
 /**
@@ -93,6 +105,10 @@ struct SchedStats
     uint64_t probeMemoHits = 0;
     /** Candidate scans run and memoized. */
     uint64_t probeMemoMisses = 0;
+    /** Candidate probes run (place -> price -> unplace). */
+    uint64_t probesRun = 0;
+    /** Candidates a scan skipped: their lower bound could not win. */
+    uint64_t probesSkipped = 0;
     /** Annealing iterations, summed over chains. */
     uint64_t iterations = 0;
     /** Chains executed (0 when run() was never called). */
@@ -117,7 +133,11 @@ struct SchedOptions
 
     /// @name Greedy-fill / routing cost knobs (ablation sweeps)
     /// @{
-    /** Candidates probed per unplaced slot before settling. */
+    /**
+     * Candidates considered per unplaced slot: the first this many of
+     * the shuffled candidate list (at least one). The incremental scan
+     * probes only those whose lower bound can still win among them.
+     */
     int candidateScanCap = 24;
     /** Dijkstra cost of re-traversing an edge this value already uses. */
     double routeReuseCost = 0.01;
@@ -277,13 +297,25 @@ class SpatialScheduler
         adg::NodeId shortfallNode = adg::kInvalidNode;
     };
 
-    /** Per-slot baseline for exact delta probes. */
+    /** Per-slot baseline for exact delta probes and their bounds. */
     struct ProbeBase
     {
         Cost cost;
         int linkIi = 1;
         /** Max recurrence latency over regions != the slot's. */
         int recLatOther = 0;
+        /**
+         * Per node, the delay shortfall charged by vertices outside the
+         * slot vertex's downstream cone: a probe cannot move their
+         * times, so no probe's shortfall goes below it (vertex slots
+         * only; nodeIdBound-sized).
+         */
+        std::vector<int> shortfallFloor;
+        /**
+         * Max of link II and every active PE's II under
+         * shortfallFloor: no probe's maxIi goes below it.
+         */
+        int iiFloor = 1;
     };
 
     void buildSlots();
@@ -303,12 +335,14 @@ class SpatialScheduler
     /** Greedily place every unplaced slot (best candidate by cost). */
     void fillUnplaced(Schedule &s);
     /**
-     * Content hash of everything a candidate scan for slot @p slotIdx
-     * can read: every region's placements and routes plus the special
-     * routes. Both scan modes (probe deltas and full re-evaluation)
-     * are pure functions of that state, so an equal key means the
-     * scan would pick the same winner again — the basis of the
-     * probe-scan memo in fillUnplaced.
+     * Content hash of the schedule state a candidate scan for slot
+     * @p slotIdx prices: every region's placements and routes plus the
+     * special routes. It keys the probe-scan memo in fillUnplaced. It
+     * does not pin the scan's outcome: which candidates are considered
+     * and how ties break follow the rng shuffle, so a fresh scan of an
+     * equal state can pick a different winner than the memoized one.
+     * The memo is a search heuristic; both scan modes consult it
+     * identically, so it keeps them bit-identical to each other.
      */
     uint64_t placementHash(const Schedule &s, size_t slotIdx) const;
     /** Slots implicated in overuse/violations (targeted rip-up). */
@@ -476,6 +510,22 @@ class SpatialScheduler
     /** Exact candidate cost via place -> delta -> unplace. */
     double probeCandidate(Schedule &s, const Slot &slot, adg::NodeId cand,
                           const ProbeBase &base) const;
+    /**
+     * Routing-free lower bound on probeCandidate(s, slot, cand, base):
+     * every Cost field is at most the probe's, so scalar() is too.
+     * Exact for stream slots.
+     */
+    double probeLowerBound(const Schedule &s, const Slot &slot,
+                           adg::NodeId cand, const ProbeBase &base) const;
+    /**
+     * Recurrence and forward pairs touching @p v that are complete once
+     * @p v is placed yet have no route (routeSpecials adds them later).
+     */
+    int unroutedSpecials(const Schedule &s, int region,
+                         dfg::VertexId v) const;
+    /** Protocol violations involving @p slot's vertex placed at @p n. */
+    int violationsAt(const Schedule &s, const Slot &slot,
+                     adg::NodeId n) const;
     /** checkIncremental: assert tracker equals a fresh rebuild. */
     void verifyTracker(const Schedule &s) const;
     /**
@@ -540,6 +590,8 @@ class SpatialScheduler
     /// @name Routing fast path
     /// @{
     std::shared_ptr<const LandmarkTable> landmarks_;
+    /** Static hop counts for probeLowerBound (shared per fabric). */
+    std::shared_ptr<const HopTable> hops_;
     mutable RouteCache routeCache_;
     mutable std::vector<SsspEntry> sssp_;
     mutable std::vector<RevEntry> rev_;
@@ -547,9 +599,10 @@ class SpatialScheduler
      * Probe-scan memo: placementHash -> the candidate the scan chose
      * (kept for the scheduler's lifetime; the annealer's rip-up /
      * refill loop revisits the same states constantly once the
-     * schedule is near-converged). Mode-independent by construction
-     * (see placementHash), so the incremental/reference and
-     * fast-path on/off equivalences are preserved.
+     * schedule is near-converged). A hit reuses that winner instead of
+     * scanning, which is not what a fresh scan would pick in general
+     * (see placementHash); every mode consults it the same way, so the
+     * incremental/reference and fast-path on/off equivalences hold.
      */
     mutable std::unordered_map<uint64_t, adg::NodeId> probeMemo_;
     mutable SchedStats stats_;
@@ -582,9 +635,14 @@ class SpatialScheduler
     /** place()'s snapshot-route staging buffer (consumed per call). */
     mutable std::vector<std::pair<std::pair<dfg::VertexId, int>, Route>>
         placeScratch_;
-    /** propagateTiming's min-heap of topological positions. */
+    /** The candidate scan's (lower bound, shuffled position) order. */
+    std::vector<std::pair<double, size_t>> scanOrder_;
+    /**
+     * propagateTiming's min-heap of topological positions; also
+     * makeProbeBase's stack for its downstream-cone walk.
+     */
     mutable std::vector<int> timingHeap_;
-    /** Per-vertex "already queued" stamps for propagateTiming. */
+    /** Per-vertex "already queued" stamps (the same two users). */
     mutable std::vector<uint32_t> timingQueued_;
     mutable uint32_t timingEpoch_ = 0;
     /// @}

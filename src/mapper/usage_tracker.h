@@ -168,6 +168,16 @@ class UsageTracker
         return carry_[flatV(group, val)];
     }
 
+    /**
+     * @p val's edge bitset in @p group, edgeWords() words long: bit
+     * (e & 63) of word (e >> 6) is set iff edge e carries @p val.
+     */
+    const uint64_t *valueEdgeBits(int group, const ValueKey &val) const
+    {
+        return &valEdgeBits_[flatV(group, val) * edgeWords_];
+    }
+    size_t edgeWords() const { return edgeWords_; }
+
     /** (group, edge) pairs with at least one routed value. */
     const std::vector<std::pair<int, adg::EdgeId>> &activeEdges() const
     {

@@ -1,5 +1,6 @@
 #include "sim/jit/jit_cache.h"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -257,36 +258,50 @@ CompileLock::tryAcquire(const std::string &dir, const std::string &key)
 {
     DSA_ASSERT(!held_, "compile lock reacquired while held");
     std::string path = dir + "/obj-" + key + ".lock";
-    for (int attempt = 0; attempt < 2; ++attempt) {
-        int fd = ::open(path.c_str(),
-                        O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
-        if (fd >= 0) {
-            std::string pid =
-                std::to_string(static_cast<long>(::getpid())) + "\n";
-            ssize_t n = ::write(fd, pid.data(), pid.size());
-            (void)n;
-            ::close(fd);
-            held_ = true;
-            path_ = path;
-            return true;
+    // The claim must appear with its owner already in it: creating the
+    // lock name first and writing the pid after would let a contender
+    // read an empty claim in between and break a live one. So write
+    // the pid to a private temp file and link() it to the lock name.
+    static std::atomic<uint64_t> seq{0};
+    std::string tmp = path + ".tmp-" +
+                      std::to_string(static_cast<long>(::getpid())) + "-" +
+                      std::to_string(seq.fetch_add(1));
+    std::string pid = std::to_string(static_cast<long>(::getpid())) + "\n";
+    // (pid, seq) names the temp file uniquely among live processes; a
+    // leftover of a dead process that had this pid is simply reused.
+    int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                    0666);
+    if (fd < 0)
+        return false;
+    ssize_t n = ::write(fd, pid.data(), pid.size());
+    ::close(fd);
+    bool won = false;
+    for (int attempt = 0;
+         n == static_cast<ssize_t>(pid.size()) && attempt < 2; ++attempt) {
+        if (::link(tmp.c_str(), path.c_str()) == 0) {
+            won = true;
+            break;
         }
         if (errno != EEXIST)
-            return false;
+            break;
         // Someone holds the claim. Break it only if its owner is dead.
         std::string owner;
         long ownerPid = 0;
         if (readFile(path, owner))
             ownerPid = std::atol(owner.c_str());
-        if (ownerPid > 0 && (::kill(static_cast<pid_t>(ownerPid), 0) == 0 ||
-                             errno != ESRCH))
-            return false; // live owner (or unknowable): lose the race
-        if (ownerPid == 0 && !owner.empty())
-            return false; // unparsable owner: be conservative
+        if (ownerPid <= 0 || ::kill(static_cast<pid_t>(ownerPid), 0) == 0 ||
+            errno != ESRCH)
+            break; // live, unknowable or unparsable owner: lose the race
         ::unlink(path.c_str());
         // Retry once: another contender may win the retake, which is
         // fine — exactly one compiler per key either way.
     }
-    return false;
+    ::unlink(tmp.c_str());
+    if (won) {
+        held_ = true;
+        path_ = path;
+    }
+    return won;
 }
 
 void

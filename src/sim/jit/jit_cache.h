@@ -80,10 +80,14 @@ Status publishObject(const std::string &dir, const std::string &key,
                      const std::string &tmpSo, const ObjectMeta &meta);
 
 /**
- * The single-writer compile claim: an O_EXCL lock file holding the
- * owner pid. A lock whose owner is dead is stale and is broken
- * (unlink + retake). Losing the race is not an error — the loser
- * simply re-probes for the winner's published object.
+ * The single-writer compile claim: a lock file holding the owner pid.
+ * The claim is published atomically — the pid is written to a private
+ * temp file that is then hard-linked to the lock name (EEXIST = the
+ * race is lost) — so a contender never observes a claim without its
+ * owner. A lock whose owner is dead is stale and is broken (unlink +
+ * retake); an empty or unparsable lock is treated as live. Losing the
+ * race is not an error — the loser simply re-probes for the winner's
+ * published object.
  */
 class CompileLock
 {

@@ -269,7 +269,7 @@ struct JitRuntime::Impl
 
         CompileLock lock;
         if (!lock.tryAcquire(job.dir, job.key)) {
-            // Lost the O_EXCL race: wait for the winner to publish,
+            // Lost the claim race: wait for the winner to publish,
             // then reuse its object. Bounded — a dead or wedged
             // winner degrades us to the interpreted tier, not a hang.
             {

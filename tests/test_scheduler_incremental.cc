@@ -10,8 +10,10 @@
  * hook-maintained tracker equals a from-scratch rebuild, (b) the
  * incrementally-propagated region timing (vertex times, recurrence
  * latency, per-node delay shortfall) equals a from-scratch
- * computeRegionTiming, and (c) the delta-evaluated probe cost equals
- * the full `evaluate()` oracle.
+ * computeRegionTiming, (c) the delta-evaluated probe cost equals
+ * the full `evaluate()` oracle, and (d) every considered candidate's
+ * routing-free lower bound is at most its probe cost, and the
+ * branch-and-bound scan picks the in-order scan's winner.
  * On top of that, reference-mode runs (`incremental = false`, which
  * recomputes everything from the schedule at each use point) must
  * produce bit-identical schedules for the same seed.
@@ -101,12 +103,21 @@ caseName(const ::testing::TestParamInfo<Case> &info)
 const Case kIllegalAtUnroll4[] = {
     {"md", 4}, {"stencil-2d", 4}, {"qr", 4}};
 
+/** The 16 Table-I kernels of Fig. 10, at unroll 1. */
+const Case kTableI[] = {
+    {"md", 1},        {"crs", 1},        {"ellpack", 1},   {"mm", 1},
+    {"stencil-2d", 1}, {"stencil-3d", 1}, {"histogram", 1}, {"join", 1},
+    {"qr", 1},        {"chol", 1},       {"fft", 1},       {"fir", 1},
+    {"solver", 1},    {"p-mm", 1},       {"2mm", 1},       {"3mm", 1}};
+
 /**
  * Property test: the whole stochastic run, cross-checked at every
  * step. checkIncremental makes each probe assert tracker == rebuild,
  * maintained timing == computeRegionTiming and delta cost == oracle
- * cost, so any drift in the incremental bookkeeping aborts the test
- * with the first divergent field.
+ * cost, and each scan assert bound <= cost for every considered
+ * candidate and the in-order winner, so any drift in the incremental
+ * bookkeeping or an unsound bound aborts the test at the first
+ * divergence.
  */
 class CheckedRun : public ::testing::TestWithParam<Case> {};
 
@@ -125,12 +136,27 @@ TEST_P(CheckedRun, TrackerAndDeltasMatchOracleEveryStep)
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, CheckedRun,
-                         ::testing::Values(Case{"crs", 1},
-                                           Case{"classifier", 1},
-                                           Case{"histogram", 1}),
+                         ::testing::Values(Case{"classifier", 1}),
+                         caseName);
+// Every Table-I kernel: each one's mix of ports, shared/dedicated and
+// static/dynamic PEs, recurrences and full links exercises a different
+// term of the probe lower bound.
+INSTANTIATE_TEST_SUITE_P(TableI, CheckedRun, ::testing::ValuesIn(kTableI),
                          caseName);
 INSTANTIATE_TEST_SUITE_P(IllegalAtUnroll4, CheckedRun,
                          ::testing::ValuesIn(kIllegalAtUnroll4), caseName);
+
+TEST(BranchAndBound, SkipsProbes)
+{
+    // The bound must actually prune: a scan that probes every
+    // candidate would still be correct, just no faster.
+    adg::Adg hw = targetFor("mm");
+    auto prog = lowerOn(hw, "mm", 4);
+    SpatialScheduler sch(prog, hw, {.maxIters = 30, .seed = 5});
+    sch.run();
+    EXPECT_GT(sch.stats().probesSkipped, 0u);
+    EXPECT_GT(sch.stats().probesRun, 0u);
+}
 
 /**
  * Bit-identical equivalence: the incremental fast path and the

@@ -12,7 +12,7 @@
  * oracle chain dense -> sparse -> compiled -> jit.
  *
  * The on-disk object cache is exercised at three levels: unit tests of
- * probeObject/CompileLock (quarantine, checksums, O_EXCL, stale-lock
+ * probeObject/CompileLock (quarantine, checksums, atomic claims, stale-lock
  * breaking), in-process warm-cache runs (zero recompiles, the stats
  * prove it), and real two-process races — this binary defines its own
  * main() and re-execs itself with the `__jit-sim-run` argv marker so
@@ -566,7 +566,7 @@ TEST(SimJit, InjectedCorruptionFaultQuarantinesThenRecompiles)
 }
 
 // ---------------------------------------------------------------------
-// The compile claim: O_EXCL single-writer, stale locks broken
+// The compile claim: atomic single-writer, stale locks broken
 // ---------------------------------------------------------------------
 
 TEST(SimJit, CompileLockIsExclusive)
@@ -603,6 +603,37 @@ TEST(SimJit, StaleLockFromDeadOwnerIsBroken)
     writeAll(dir + "/obj-cafe.lock", "not-a-pid\n");
     sim::jit::CompileLock m;
     EXPECT_FALSE(m.tryAcquire(dir, "cafe"));
+    rmTree(dir);
+}
+
+TEST(SimJit, EmptyClaimIsLiveNotBroken)
+{
+    // A claim seen without its owner pid is one whose owner has not
+    // finished publishing it: breaking it would let two processes
+    // compile the same key. The contender must lose and leave it.
+    std::string dir = freshDir("empty");
+    std::string lock = dir + "/obj-f00d.lock";
+    writeAll(lock, "");
+    sim::jit::CompileLock l;
+    EXPECT_FALSE(l.tryAcquire(dir, "f00d"));
+    EXPECT_FALSE(l.held());
+    EXPECT_EQ(listDir(dir), std::vector<std::string>{"obj-f00d.lock"})
+        << "live claim was broken";
+    rmTree(dir);
+}
+
+TEST(SimJit, CompileLockPublishesOwnerAtomically)
+{
+    // The winner's claim holds its pid from the moment it exists, and
+    // the private temp file used to publish it is gone afterwards.
+    std::string dir = freshDir("atomic");
+    sim::jit::CompileLock l;
+    ASSERT_TRUE(l.tryAcquire(dir, "beef"));
+    EXPECT_EQ(readAll(dir + "/obj-beef.lock"),
+              std::to_string(static_cast<long>(::getpid())) + "\n");
+    EXPECT_EQ(listDir(dir), std::vector<std::string>{"obj-beef.lock"})
+        << "temp claim file left behind";
+    l.release();
     rmTree(dir);
 }
 

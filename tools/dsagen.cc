@@ -381,6 +381,10 @@ finishDse(const dse::DseResult &res, const std::string &savePath,
                     static_cast<unsigned long long>(ss.probeMemoHits),
                     static_cast<unsigned long long>(ss.probeMemoHits +
                                                     ss.probeMemoMisses));
+        std::printf("  candidate scan: %llu probes run, %llu skipped "
+                    "by the lower bound\n",
+                    static_cast<unsigned long long>(ss.probesRun),
+                    static_cast<unsigned long long>(ss.probesSkipped));
         mapper::LandmarkCacheStats lc = mapper::landmarkCacheStats();
         std::printf("  landmark cache: %llu hits / %llu misses\n",
                     static_cast<unsigned long long>(lc.hits),
